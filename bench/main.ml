@@ -1153,18 +1153,14 @@ let gen () =
      same draw stream). waypoint switches from an all-pairs scan to\n\
      the spatial hash when n >= 64 and the grid is at least 6x6\n\
      (radius below ~1/6) — the r=0.05 rows take the hash, the r=0.20\n\
-     rows the scan. grid-walk buckets walkers by cell. CI enforces\n\
-     draws/s floors on two n=128 rows. Timing columns are machine-\n\
-     dependent, so this table is not a byte-identical CSV baseline.";
+     rows the scan. grid-walk buckets walkers by cell. The uniform\n\
+     row is the streamed workload of doda run --stream, read block by\n\
+     block through chunk_view as the engine reads it. CI enforces\n\
+     draws/s floors on the two n=128 rows named in its workflow and\n\
+     on the uniform row. Timing columns are machine-dependent, so\n\
+     this table is not a byte-identical CSV baseline.";
   let t = Table.create ~header:[ "generator"; "draws"; "wall s"; "draws/s" ] in
-  let time_gen label draws mk =
-    let g = mk (Prng.create master_seed) in
-    ignore (g 0);  (* setup + first draw outside the clock *)
-    let t0 = Unix.gettimeofday () in
-    for i = 1 to draws do
-      ignore (g i)
-    done;
-    let wall = Unix.gettimeofday () -. t0 in
+  let add_rate label draws wall =
     Table.add_row t
       [
         label;
@@ -1172,6 +1168,15 @@ let gen () =
         Printf.sprintf "%.3f" wall;
         Printf.sprintf "%.0f" (float_of_int draws /. wall);
       ]
+  in
+  let time_gen label draws mk =
+    let g = mk (Prng.create master_seed) in
+    ignore (g 0);  (* setup + first draw outside the clock *)
+    let t0 = Unix.gettimeofday () in
+    for i = 1 to draws do
+      ignore (g i)
+    done;
+    add_rate label draws (Unix.gettimeofday () -. t0)
   in
   List.iter
     (fun n ->
@@ -1200,6 +1205,19 @@ let gen () =
         100_000
         (fun rng -> Mobility.grid_walkers rng ~n ~rows:side ~cols:side))
     [ 32; 128 ];
+  (let n = 3000 and draws = 1 lsl 22 in
+   let sched =
+     Doda_sim.Workload.schedule ~stream:true Doda_sim.Workload.Uniform ~n
+       ~sink:0 ~seed:master_seed
+   in
+   let t0 = Unix.gettimeofday () in
+   let time = ref 0 in
+   while !time < draws do
+     let _, _, avail = Schedule.chunk_view sched !time in
+     time := !time + avail
+   done;
+   add_rate (Printf.sprintf "uniform n=%d stream" n) draws
+     (Unix.gettimeofday () -. t0));
   (* Timing columns are machine-dependent: archived to JSON, not as a
      CSV baseline (CI checks floors on the printed table instead). *)
   print_table ~csv:false t
@@ -1572,7 +1590,8 @@ let scale () =
       let results =
         replicate ~replications:reps ~seed:master_seed (fun rng ->
             let sched =
-              Schedule.of_fun_chunked ~n ~sink:0 (Generators.uniform rng ~n)
+              Schedule.of_fill_chunked ~n ~sink:0
+                (Generators.uniform_fill rng ~n)
             in
             Engine.run ~record:`Count
               ~max_steps:((10 * n * n) + 10_000)

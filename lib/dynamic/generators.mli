@@ -11,6 +11,16 @@ val uniform : Doda_prng.Prng.t -> n:int -> int -> Interaction.t
     [n(n-1)/2] pairs — the paper's randomized adversary. The time
     argument is ignored (draws are i.i.d.). *)
 
+val uniform_fill :
+  Doda_prng.Prng.t -> n:int -> int array -> base:int -> len:int -> unit
+(** [uniform_fill rng ~n] is the block form of {!uniform} for
+    {!Schedule.of_fill_chunked}: [uniform_fill rng ~n buf ~base ~len]
+    writes the packed interactions of times [base .. base+len-1] to
+    [buf.(0) .. buf.(len-1)]. The draws are those [len] calls of
+    [uniform rng ~n] would make, in the same order, but come from one
+    {!Doda_prng.Prng.fill_pairs} loop with no per-index call and no
+    allocation. *)
+
 val uniform_sequence : Doda_prng.Prng.t -> n:int -> length:int -> Sequence.t
 
 val weighted_nodes : Doda_prng.Prng.t -> weights:float array -> int -> Interaction.t

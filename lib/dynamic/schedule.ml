@@ -57,13 +57,13 @@ type prefetch = {
 }
 
 (* Streaming form: one fixed-size block of packed interactions decoded
-   from the generator on demand, recycled in place as time advances.
+   from a block fill on demand, recycled in place as time advances.
    Memory is O(block) whatever the horizon — no prefix buffer, no
    sink-meeting index — at the price of strictly forward access. *)
 type chunked = {
   c_node_count : int;
   c_sink : int;
-  c_gen : int -> Interaction.t;
+  c_fill : int array -> base:int -> len:int -> unit;
   c_length : int option;  (* finite horizon (streamed traces), if any *)
   mutable c_block : int array;  (* packed interactions [c_base .. c_base+c_len) *)
   mutable c_base : int;  (* time of [c_block.(0)] *)
@@ -114,18 +114,18 @@ let of_sequence ~n ~sink seq =
 
 let of_fun ~n ~sink gen = make ~n ~sink (Generator gen)
 
-let of_fun_chunked ?(block = default_block) ?length ~n ~sink gen =
+let of_fill_chunked ?(block = default_block) ?length ~n ~sink fill =
   check_node_count n;
   if sink < 0 || sink >= n then invalid_arg "Schedule: sink out of range";
-  if block < 1 then invalid_arg "Schedule.of_fun_chunked: block must be >= 1";
+  if block < 1 then invalid_arg "Schedule: chunk block must be >= 1";
   (match length with
-  | Some l when l < 0 -> invalid_arg "Schedule.of_fun_chunked: negative length"
+  | Some l when l < 0 -> invalid_arg "Schedule: negative chunked length"
   | _ -> ());
   Chunked
     {
       c_node_count = n;
       c_sink = sink;
-      c_gen = gen;
+      c_fill = fill;
       c_length = length;
       c_block = Array.make block (Interaction.to_int Interaction.dummy);
       c_base = 0;
@@ -133,6 +133,12 @@ let of_fun_chunked ?(block = default_block) ?length ~n ~sink gen =
       c_refills = 0;
       c_prefetch = None;
     }
+
+let of_fun_chunked ?block ?length ~n ~sink gen =
+  of_fill_chunked ?block ?length ~n ~sink (fun buf ~base ~len ->
+      for k = 0 to len - 1 do
+        Array.unsafe_set buf k (gen (base + k) : Interaction.t :> int)
+      done)
 
 let n = function
   | Live t -> t.node_count
@@ -210,13 +216,20 @@ let ensure t upto =
         t.indexed <- t.indexed + 1
       done
 
-(* Decode [cap] interactions from [base] into [buf]. Shared by the
+(* Decode [cap] interactions from [base] into [buf], then check every
+   entry: a well-formed packed pair ([0 <= u < v]) with [v < n]. The
+   check is spelled out on the packed int, since [-opaque] builds make
+   each [Interaction] accessor an out-of-line call. Shared by the
    synchronous refill and the producer task. *)
-let fill_block ~n gen buf base cap =
+let fill_block ~n fill buf base cap =
+  fill buf ~base ~len:cap;
+  let mask = Interaction.max_node_id in
   for k = 0 to cap - 1 do
-    let i = gen (base + k) in
-    check_interaction ~n i;
-    Array.unsafe_set buf k (Interaction.to_int i)
+    let p = Array.unsafe_get buf k in
+    if p < 0 || p lsr 31 >= p land mask then
+      invalid_arg "Schedule: block fill wrote a malformed packed interaction";
+    if p land mask >= n then
+      invalid_arg "Schedule: interaction mentions a node id >= n"
   done
 
 (* Run whatever fill is currently queued, if any. Called both by the
@@ -231,7 +244,7 @@ let prefetch_run_fill ~async c p =
   | Pf_queued { pf_base; pf_cap } -> (
       p.p_fill <- Pf_filling;
       Mutex.unlock p.p_lock;
-      match fill_block ~n:c.c_node_count c.c_gen p.p_buf pf_base pf_cap with
+      match fill_block ~n:c.c_node_count c.c_fill p.p_buf pf_base pf_cap with
       | () ->
           Mutex.lock p.p_lock;
           p.p_fill <- Pf_ready { pf_base; pf_len = pf_cap; pf_async = async };
@@ -342,7 +355,7 @@ let chunk_advance ~op c time =
           | Some l -> Stdlib.min (Array.length c.c_block) (l - base)
           | None -> Array.length c.c_block
         in
-        fill_block ~n:c.c_node_count c.c_gen c.c_block base cap;
+        fill_block ~n:c.c_node_count c.c_fill c.c_block base cap;
         c.c_base <- base;
         c.c_len <- cap;
         c.c_refills <- c.c_refills + 1

@@ -13,11 +13,11 @@
 
     For horizons where even lazy materialisation is too much — sweeps
     at n >= 10^5 process ~n^2 interactions — a {e chunked} schedule
-    ({!of_fun_chunked}) streams the generator through one fixed-size
-    block recycled in place: memory is O(block) whatever the horizon,
-    at the price of strictly forward access and no sink-meeting index
-    (meet-time knowledge is unavailable; Gathering and Waiting need
-    none).
+    ({!of_fun_chunked}, {!of_fill_chunked}) streams the generator
+    through one fixed-size block recycled in place: memory is O(block)
+    whatever the horizon, at the price of strictly forward access and
+    no sink-meeting index (meet-time knowledge is unavailable;
+    Gathering and Waiting need none).
 
     {b Node-count limit.} Interactions pack both endpoint ids into one
     63-bit OCaml int ([(u lsl 31) lor v]), so every constructor
@@ -69,6 +69,23 @@ val of_fun_chunked :
 
     @raise Invalid_argument on a bad [sink], [n] outside [2 ..
     Interaction.max_node_id + 1], or [block < 1]. *)
+
+val of_fill_chunked :
+  ?block:int -> ?length:int -> n:int -> sink:int ->
+  (int array -> base:int -> len:int -> unit) -> t
+(** [of_fill_chunked ~n ~sink fill] is {!of_fun_chunked} over a block
+    fill: each refill calls [fill buf ~base ~len] once, which must
+    write the packed interactions ({!Interaction.to_int}) of times
+    [base .. base+len-1] to [buf.(0) .. buf.(len-1)]. Calls come in
+    increasing [base] order and cover every time exactly once, so a
+    fill may ignore [base] and draw from a stream. Every entry is
+    checked after the fill, as {!of_fun_chunked} checks each
+    interaction. A generator that can write a whole block in one loop
+    ({!Generators.uniform_fill}) saves the per-index call;
+    [of_fun_chunked] is this constructor over a loop of [gen] calls.
+    @raise Invalid_argument as {!of_fun_chunked}; a refill raises
+    [Invalid_argument] if an entry is not a packed interaction or
+    names a node [>= n]. *)
 
 val freeze : t -> t
 (** The compact immutable form of a finite schedule: the interaction

@@ -1,11 +1,11 @@
 type t = {
   gen : Xoshiro256ss.t;
   seeder : Splitmix64.t;
-  (* One-slot memo of the rejection limit for the last non-power-of-two
-     bound. Bulk consumers (schedule materialisation, batch
-     replication) draw millions of times at one bound, and the limit is
-     a pure function of the bound, so caching it removes one division
-     per draw without touching the draw stream. *)
+  (* One-slot memo of the rejection limit for the last bound. Bulk
+     consumers (schedule materialisation, batch replication) draw
+     millions of times at one bound, and the limit is a pure function
+     of the bound, so caching it removes one division per draw without
+     touching the draw stream. *)
   mutable memo_bound : int;
   mutable memo_limit : int;
 }
@@ -36,32 +36,18 @@ let copy g =
 
 let bits64 g = Xoshiro256ss.next g.gen
 
-(* Top 62 bits as a nonnegative OCaml int, via the unboxed fused
-   path. *)
-let bits g = Xoshiro256ss.next_bits g.gen ~drop:2
+let limit g bound =
+  if g.memo_bound = bound then g.memo_limit
+  else begin
+    let l = Xoshiro256ss.limit bound in
+    g.memo_bound <- bound;
+    g.memo_limit <- l;
+    l
+  end
 
 let int g bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
-  if bound land (bound - 1) = 0 then bits g land (bound - 1)
-  else begin
-    (* Rejection sampling over the largest multiple of [bound] that
-       fits in 62 bits, to avoid modulo bias. *)
-    let limit =
-      if g.memo_bound = bound then g.memo_limit
-      else begin
-        let max_int62 = (1 lsl 62) - 1 in
-        let l = max_int62 - (max_int62 mod bound) in
-        g.memo_bound <- bound;
-        g.memo_limit <- l;
-        l
-      end
-    in
-    let rec draw () =
-      let r = bits g in
-      if r < limit then r mod bound else draw ()
-    in
-    draw ()
-  end
+  Xoshiro256ss.below g.gen bound (limit g bound)
 
 let int_in g lo hi =
   if hi < lo then invalid_arg "Prng.int_in: empty range";
@@ -88,12 +74,23 @@ let geometric g p =
     let u = 1.0 -. float g 1.0 in
     int_of_float (Float.floor (log u /. log (1.0 -. p)))
 
-let pair g n =
-  if n < 2 then invalid_arg "Prng.pair: need at least two elements";
-  let a = int g n in
-  let b = int g (n - 1) in
+(* A pair draws [a] among all [n] values, then [b] among the other
+   [n - 1]. The second limit is not memoised: it would evict the
+   first, and a bulk caller wants {!fill_pairs} anyway. *)
+let pair_packed g n =
+  if n < 2 || n - 1 > 0x7FFF_FFFF then
+    invalid_arg "Prng.pair: n must lie in 2 .. 2^31";
+  let a = Xoshiro256ss.below g.gen n (limit g n) in
+  let b = Xoshiro256ss.below g.gen (n - 1) (Xoshiro256ss.limit (n - 1)) in
   let b = if b >= a then b + 1 else b in
-  if a < b then (a, b) else (b, a)
+  if a < b then (a lsl 31) lor b else (b lsl 31) lor a
+
+let pair g n =
+  let p = pair_packed g n in
+  (p lsr 31, p land 0x7FFF_FFFF)
+
+let fill_pairs g ~n buf ~pos ~len =
+  Xoshiro256ss.fill_pairs g.gen ~n buf ~pos ~len
 
 let choose g a =
   if Array.length a = 0 then invalid_arg "Prng.choose: empty array";

@@ -61,7 +61,21 @@ val pair : t -> int -> int * int
 (** [pair g n] is an unordered pair of distinct values drawn uniformly
     from the [n * (n-1) / 2] pairs over [\[0, n)]; the result is
     returned with the smaller value first. @raise Invalid_argument if
-    [n < 2]. *)
+    [n] is outside [2 .. 2^31]. *)
+
+val pair_packed : t -> int -> int
+(** [pair_packed g n] is {!pair} packed as [(lo lsl 31) lor hi], the
+    packed-interaction encoding of the schedules: the same two draws,
+    without the tuple allocation. @raise Invalid_argument if [n] is
+    outside [2 .. 2^31]. *)
+
+val fill_pairs : t -> n:int -> int array -> pos:int -> len:int -> unit
+(** [fill_pairs g ~n buf ~pos ~len] writes [len] successive
+    {!pair_packed} draws to [buf.(pos) .. buf.(pos+len-1)]: the same
+    stream as [len] calls, but with both rejection limits computed
+    once and the generator step inlined into one loop. Allocates
+    nothing. @raise Invalid_argument if [n] is outside [2 .. 2^31] or
+    the range leaves [buf]. *)
 
 val choose : t -> 'a array -> 'a
 (** [choose g a] is a uniformly random element of [a].

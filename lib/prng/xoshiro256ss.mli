@@ -22,9 +22,33 @@ val next : t -> int64
 val next_bits : t -> drop:int -> int
 (** [next_bits g ~drop] is
     [Int64.to_int (Int64.shift_right_logical (next g) drop)], fused so
-    the 64-bit word is never boxed; the allocation-free path for every
-    integer and float draw in {!Prng}. [drop] must be at least 2 for
-    the result to fit an OCaml int. *)
+    the 64-bit word is never boxed; the allocation-free path for the
+    float draws in {!Prng} (bounded integers go through {!below}).
+    [drop] must be at least 2 for the result to fit an OCaml int. *)
+
+val limit : int -> int
+(** [limit bound] is the largest 62-bit draw {!below} accepts for
+    [bound]: [max_int] for a power of two (every draw, reduced by
+    masking), otherwise one less than the largest multiple of [bound]
+    that fits in 62 bits, so the accepted draws reduce without modulo
+    bias. [bound] must be positive. *)
+
+val below : t -> int -> int -> int
+(** [below g bound (limit bound)] is uniform in [\[0, bound)]: it draws
+    the top 62 bits of {!next} until one is at most the limit, then
+    reduces it. One draw per attempt, so the stream it consumes is a
+    pure function of the state and [bound]. Allocates nothing. *)
+
+val fill_pairs : t -> n:int -> int array -> pos:int -> len:int -> unit
+(** [fill_pairs g ~n buf ~pos ~len] writes [len] uniform unordered
+    pairs of distinct values in [\[0, n)] to [buf.(pos) ..
+    buf.(pos+len-1)], each packed as [(lo lsl 31) lor hi] with
+    [lo < hi]. Entry [k] is drawn as [a = below g n _], then
+    [b = below g (n-1) _] shifted past [a] — the same draws, in the
+    same order, as [len] calls of {!Prng.pair}. Both limits are
+    computed once per call and nothing is allocated.
+    @raise Invalid_argument if [n] is outside [2 .. 2^31] or the range
+    leaves [buf]. *)
 
 val jump : t -> unit
 (** [jump g] advances [g] by [2^128] steps; used to carve

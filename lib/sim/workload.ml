@@ -73,13 +73,17 @@ let build ?(stream = false) t ~n ~sink ~seed =
   let rng = Prng.create seed in
   (* Streaming keeps the draw stream: the same generator function
      backs an [of_fun_chunked] schedule instead of an [of_fun] one, so
-     a run differs only in memory behaviour, never in results. *)
+     a run differs only in memory behaviour, never in results. Uniform
+     streams through its block fill, which makes the same draws. *)
   let wrap gen =
     if stream then Schedule.of_fun_chunked ~n ~sink gen
     else Schedule.of_fun ~n ~sink gen
   in
   match t with
-  | Uniform -> wrap (Generators.uniform rng ~n)
+  | Uniform ->
+      if stream then
+        Schedule.of_fill_chunked ~n ~sink (Generators.uniform_fill rng ~n)
+      else wrap (Generators.uniform rng ~n)
   | Sink_biased w ->
       let weights = Array.init n (fun v -> if v = sink then w else 1.0) in
       wrap (Generators.weighted_nodes rng ~weights)

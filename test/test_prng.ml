@@ -38,6 +38,59 @@ let test_xoshiro_jump_diverges () =
   done;
   Alcotest.(check int) "no collisions after jump" 0 !same
 
+(* Known answer: the reference C implementation of xoshiro256**
+   seeded with the state words 1, 2, 3, 4. *)
+let test_xoshiro_known_answer () =
+  let g = Xoshiro256ss.of_state (1L, 2L, 3L, 4L) in
+  List.iter
+    (fun want -> Alcotest.(check int64) "reference output" want (Xoshiro256ss.next g))
+    [ 11520L; 0L; 1509978240L; 1215971899390074240L ]
+
+(* Rejection limits: a power of two accepts every 62-bit draw; any
+   other bound accepts exactly the largest multiple of itself that
+   fits in 62 bits, [0 .. limit]. An off-by-one here would shift the
+   draw stream only once in 2^62 draws, so sampling cannot see it. *)
+let test_xoshiro_limits () =
+  List.iter
+    (fun b ->
+      Alcotest.(check int) (Printf.sprintf "limit %d" b) max_int (Xoshiro256ss.limit b))
+    [ 1; 2; 4; 64; 1 lsl 30; 1 lsl 61 ];
+  List.iter
+    (fun b ->
+      let l = Xoshiro256ss.limit b in
+      Alcotest.(check int) (Printf.sprintf "limit %d + 1 is a multiple" b) 0 ((l + 1) mod b);
+      Alcotest.(check bool) (Printf.sprintf "limit %d is the largest" b) true (max_int - l < b))
+    [ 3; 5; 7; 2999; 3000; 99_999; (1 lsl 31) - 1; max_int ]
+
+(* The bounded draws on the hot paths allocate nothing: no boxed
+   words, no closure per rejection loop. *)
+let test_draws_allocate_nothing () =
+  let g = Prng.create 11 in
+  let draws = 100_000 in
+  let buf = Array.make draws 0 in
+  (* Warm up outside the measurement. *)
+  ignore (Prng.int g 3000);
+  Prng.fill_pairs g ~n:3000 buf ~pos:0 ~len:1;
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let acc = ref 0 in
+  let w_int =
+    words (fun () ->
+        for _ = 1 to draws do
+          acc := !acc lxor Prng.int g 3000
+        done)
+  in
+  let w_fill = words (fun () -> Prng.fill_pairs g ~n:3000 buf ~pos:0 ~len:draws) in
+  Alcotest.(check bool)
+    (Printf.sprintf "Prng.int: %.0f minor words over %d draws" w_int draws)
+    true (w_int < 100.);
+  Alcotest.(check bool)
+    (Printf.sprintf "Prng.fill_pairs: %.0f minor words over %d draws" w_fill draws)
+    true (w_fill < 100.)
+
 let test_int_bounds () =
   let g = Prng.create 1 in
   for _ = 1 to 10_000 do
@@ -219,10 +272,14 @@ let () =
         [
           Alcotest.test_case "rejects zero state" `Quick test_xoshiro_rejects_zero_state;
           Alcotest.test_case "jump diverges" `Quick test_xoshiro_jump_diverges;
+          Alcotest.test_case "known answer" `Quick test_xoshiro_known_answer;
+          Alcotest.test_case "rejection limits" `Quick test_xoshiro_limits;
         ] );
       ( "prng",
         [
           Alcotest.test_case "int bounds" `Quick test_int_bounds;
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_draws_allocate_nothing;
           Alcotest.test_case "int uniformity" `Slow test_int_uniformity;
           Alcotest.test_case "int rejects nonpositive" `Quick test_int_rejects_nonpositive;
           Alcotest.test_case "int_in inclusive" `Quick test_int_in_inclusive;
