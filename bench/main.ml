@@ -1153,12 +1153,15 @@ let gen () =
      same draw stream). waypoint switches from an all-pairs scan to\n\
      the spatial hash when n >= 64 and the grid is at least 6x6\n\
      (radius below ~1/6) — the r=0.05 rows take the hash, the r=0.20\n\
-     rows the scan. grid-walk buckets walkers by cell. The uniform\n\
-     row is the streamed workload of doda run --stream, read block by\n\
-     block through chunk_view as the engine reads it. CI enforces\n\
-     draws/s floors on the two n=128 rows named in its workflow and\n\
-     on the uniform row. Timing columns are machine-dependent, so\n\
-     this table is not a byte-identical CSV baseline.";
+     rows the scan. grid-walk buckets walkers by cell. The two stream\n\
+     rows are streamed workloads read block by block through\n\
+     chunk_view as the engine reads them: uniform is doda run\n\
+     --stream, bounded-recurrent the schedule of the n=1e5 batched\n\
+     sweep (its footprint tree is drawn before the clock starts). CI\n\
+     enforces draws/s floors on the two n=128 rows named in its\n\
+     workflow and on the two stream rows. Timing columns are\n\
+     machine-dependent, so this table is not a byte-identical CSV\n\
+     baseline.";
   let t = Table.create ~header:[ "generator"; "draws"; "wall s"; "draws/s" ] in
   let add_rate label draws wall =
     Table.add_row t
@@ -1205,19 +1208,23 @@ let gen () =
         100_000
         (fun rng -> Mobility.grid_walkers rng ~n ~rows:side ~cols:side))
     [ 32; 128 ];
-  (let n = 3000 and draws = 1 lsl 22 in
-   let sched =
-     Doda_sim.Workload.schedule ~stream:true Doda_sim.Workload.Uniform ~n
-       ~sink:0 ~seed:master_seed
-   in
-   let t0 = Unix.gettimeofday () in
-   let time = ref 0 in
-   while !time < draws do
-     let _, _, avail = Schedule.chunk_view sched !time in
-     time := !time + avail
-   done;
-   add_rate (Printf.sprintf "uniform n=%d stream" n) draws
-     (Unix.gettimeofday () -. t0));
+  let time_stream label workload ~n =
+    let draws = 1 lsl 22 in
+    let sched =
+      Doda_sim.Workload.schedule ~stream:true workload ~n ~sink:0
+        ~seed:master_seed
+    in
+    let t0 = Unix.gettimeofday () in
+    let time = ref 0 in
+    while !time < draws do
+      let _, _, avail = Schedule.chunk_view sched !time in
+      time := !time + avail
+    done;
+    add_rate label draws (Unix.gettimeofday () -. t0)
+  in
+  time_stream "uniform n=3000 stream" Doda_sim.Workload.Uniform ~n:3000;
+  time_stream "bounded-recurrent n=100000 stream"
+    (Doda_sim.Workload.Bounded_recurrent 199_998) ~n:100_000;
   (* Timing columns are machine-dependent: archived to JSON, not as a
      CSV baseline (CI checks floors on the printed table instead). *)
   print_table ~csv:false t
@@ -1471,7 +1478,8 @@ let stream_batch_speedup : (string * float) list ref = ref []
 let streambatch () =
   header
     "STREAMBATCH | lockstep lanes over one streamed class-constrained schedule"
-    "n = 1e5 bounded-recurrent trace (adversary replay: every lane sees\n\
+    "n = 1e5 bounded-recurrent trace, decoded by its block fill as\n\
+     doda sweep --stream decodes it (adversary replay: every lane sees\n\
      the same schedule). scalar = R independent streamed Engine.run\n\
      passes, each decoding its own chunk stream; batch = ONE\n\
      Batch_engine.run_reps pass over a single chunked schedule with a\n\
@@ -1485,8 +1493,8 @@ let streambatch () =
   let len = 1 lsl 20 in
   let bound = 2 * (n - 1) in
   let mk () =
-    Schedule.of_fun_chunked ~length:len ~n ~sink:0
-      (Tvg_class.gen_bounded_recurrent (Prng.create master_seed) ~n ~bound)
+    Schedule.of_fill_chunked ~length:len ~n ~sink:0
+      (Tvg_class.bounded_recurrent_fill (Prng.create master_seed) ~n ~bound)
   in
   let t =
     Table.create

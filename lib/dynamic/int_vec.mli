@@ -1,6 +1,6 @@
-(** Growable int buffers, monomorphic on purpose: unlike ['a Vec.t],
-    stores compile to direct unboxed writes with no caml_modify write
-    barrier, which matters in the schedule-materialisation hot path.
+(** Growable int buffers, monomorphic on purpose: unlike a polymorphic
+    ['a array] buffer, stores compile to direct unboxed writes with no
+    caml_modify write barrier, which matters in the schedule-materialisation hot path.
     Used for packed-interaction buffers and sink-meeting indexes. *)
 
 type t

@@ -255,38 +255,95 @@ let summarize ~n s =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Class-constrained generators. Both are block generators: interaction
-   [t] lives in tumbling block [t / window]; a block's contents are
-   drawn the first time any of its indices is requested, so identical
-   seeds replay identical schedules as long as draws arrive in
-   non-decreasing time order (the schedule layer's contract). *)
+(* Class-constrained generators. Both are window generators:
+   interaction [t] lives in tumbling window [t / window]; a window's
+   contents are drawn the first time any of its indices is needed, so
+   identical seeds replay identical schedules as long as times arrive
+   in non-decreasing order (the schedule layer's contract). The block
+   fill is the primary form; the per-index generators read it one
+   entry at a time. *)
 
-let block_generator ~what ~window fill =
-  let block = Array.make window 0 in
-  (* Base of the next block to draw; the filled block is
+(* [window_fill ~what ~window draw] serves a block fill over windows
+   that [draw] writes into one recycled array. Copies are explicit int
+   loops: [Array.blit] into a major-heap array (every chunk buffer)
+   goes through [caml_modify] per element, two to three times the cost
+   of a plain store. *)
+let window_fill ~what ~window draw =
+  let win = Array.make window 0 in
+  (* Base of the next window to draw; the drawn window is
      [next_base - window .. next_base - 1]. *)
   let next_base = ref 0 in
-  fun t ->
-    if t < !next_base - window then
+  fun (buf : int array) ~base ~len ->
+    if base < !next_base - window then
       invalid_arg
         (what
        ^ ": draws must be requested in non-decreasing time order (the block \
           for an earlier time was already discarded)");
-    while t >= !next_base do
-      fill block;
-      next_base := !next_base + window
+    let pos = ref 0 in
+    while !pos < len do
+      let t = base + !pos in
+      while t >= !next_base do
+        draw win;
+        next_base := !next_base + window
+      done;
+      let off = t - (!next_base - window) in
+      let k = Int.min (window - off) (len - !pos) in
+      let p = !pos - off in
+      for i = off to off + k - 1 do
+        Array.unsafe_set buf (p + i) (Array.unsafe_get win i)
+      done;
+      pos := !pos + k
+    done
+
+let per_index fill =
+  let one = [| 0 |] in
+  fun t ->
+    fill one ~base:t ~len:1;
+    Interaction.of_int_unchecked one.(0)
+
+let copy_into (dst : int array) (src : int array) =
+  for i = 0 to Array.length src - 1 do
+    Array.unsafe_set dst i (Array.unsafe_get src i)
+  done
+
+(* Sort packed interactions over nodes [0, n) in linear time: a stable
+   counting sort by [v], then by [u]. [Array.sort] takes about 40 ms on
+   the 10^5 edges of an n = 10^5 tree; this takes a few. *)
+let sort_packed ~n (a : int array) =
+  let m = Array.length a in
+  let tmp = Array.make m 0 and start = Array.make (n + 1) 0 in
+  let pass key (src : int array) (dst : int array) =
+    Array.fill start 0 (n + 1) 0;
+    Array.iter
+      (fun p ->
+        let k = key p + 1 in
+        start.(k) <- start.(k) + 1)
+      src;
+    for i = 1 to n do
+      start.(i) <- start.(i) + start.(i - 1)
     done;
-    Interaction.of_int_unchecked block.(t - (!next_base - window))
+    Array.iter
+      (fun p ->
+        let k = key p in
+        dst.(start.(k)) <- p;
+        start.(k) <- start.(k) + 1)
+      src
+  in
+  pass (fun p -> p land Interaction.max_node_id) a tmp;
+  pass (fun p -> p lsr 31) tmp a
 
+(* The edges of a uniform random tree, packed and sorted: the order of
+   [Static_graph.edges], which the draw stream depends on. *)
 let tree_edge_ints rng ~n =
-  let tree = Graph_gen.random_tree rng ~n in
-  Array.of_list
-    (List.map
-       (fun (u, v) -> Interaction.to_int (Interaction.make u v))
-       (Static_graph.edges tree))
+  let edges = Array.make (n - 1) 0 and k = ref 0 in
+  Graph_gen.random_tree_edges rng ~n (fun u v ->
+      edges.(!k) <- Interaction.to_int (Interaction.make u v);
+      incr k);
+  sort_packed ~n edges;
+  edges
 
-let gen_t_interval rng ~n ~window =
-  if n < 2 then invalid_arg "Tvg_class.gen_t_interval: need n >= 2";
+let t_interval_window ~what rng ~n ~window =
+  if n < 2 then invalid_arg (what ^ ": need n >= 2");
   if window = 1 then
     (* 1-interval (per-step connectivity): emit back-to-back fresh
        spanning trees with no fillers — the tightest refresh the
@@ -294,44 +351,55 @@ let gen_t_interval rng ~n ~window =
        connects n = 2, so for larger n the schedule realizes
        T-interval (n - 1): every tumbling (n - 1)-window is exactly
        one spanning tree (the validator round-trips at that width). *)
-    block_generator ~what:"Tvg_class.gen_t_interval" ~window:(n - 1)
-      (fun block ->
-        let edges = tree_edge_ints rng ~n in
-        Array.blit edges 0 block 0 (n - 1);
-        Prng.shuffle rng block)
+    window_fill ~what ~window:(n - 1) (fun win ->
+        copy_into win (tree_edge_ints rng ~n);
+        Prng.shuffle rng win)
   else if window < n - 1 then
     invalid_arg
-      "Tvg_class.gen_t_interval: window must be 1 (per-step connectivity, \
-       realized as back-to-back spanning trees) or >= n - 1 (a window must \
-       fit a spanning tree)"
+      (what
+     ^ ": window must be 1 (per-step connectivity, realized as \
+        back-to-back spanning trees) or >= n - 1 (a window must fit a \
+        spanning tree)")
   else
-  block_generator ~what:"Tvg_class.gen_t_interval" ~window (fun block ->
-      (* Fresh spanning tree per window, buried among uniform fillers. *)
-      let edges = tree_edge_ints rng ~n in
-      let m = Array.length edges in
-      Array.blit edges 0 block 0 m;
-      for idx = m to window - 1 do
-        let a, b = Prng.pair rng n in
-        block.(idx) <- Interaction.to_int (Interaction.make a b)
-      done;
-      Prng.shuffle rng block)
+    window_fill ~what ~window (fun win ->
+        (* Fresh spanning tree per window, buried among uniform
+           fillers. *)
+        let edges = tree_edge_ints rng ~n in
+        let m = Array.length edges in
+        copy_into win edges;
+        Prng.fill_pairs rng ~n win ~pos:m ~len:(window - m);
+        Prng.shuffle rng win)
 
-let gen_bounded_recurrent rng ~n ~bound =
-  if n < 2 then invalid_arg "Tvg_class.gen_bounded_recurrent: need n >= 2";
+let bounded_recurrent_window ~what rng ~n ~bound =
+  if n < 2 then invalid_arg (what ^ ": need n >= 2");
   if bound < 2 * (n - 1) then
     invalid_arg
-      "Tvg_class.gen_bounded_recurrent: bound must be >= 2 * (n - 1) (a \
-       half-window must fit the whole footprint)";
+      (what
+     ^ ": bound must be >= 2 * (n - 1) (a half-window must fit the whole \
+        footprint)");
   (* One fixed footprint tree; every tumbling half-window contains all
      its edges, so every sliding [bound]-window — which always covers a
      full half-window — does too. *)
   let edges = tree_edge_ints rng ~n in
   let m = Array.length edges in
-  let half = bound / 2 in
-  block_generator ~what:"Tvg_class.gen_bounded_recurrent" ~window:half
-    (fun block ->
-      Array.blit edges 0 block 0 m;
-      for idx = m to half - 1 do
-        block.(idx) <- Prng.choose rng edges
+  window_fill ~what ~window:(bound / 2) (fun win ->
+      copy_into win edges;
+      for idx = m to Array.length win - 1 do
+        win.(idx) <- edges.(Prng.int rng m)
       done;
-      Prng.shuffle rng block)
+      Prng.shuffle rng win)
+
+let t_interval_fill rng ~n ~window =
+  t_interval_window ~what:"Tvg_class.t_interval_fill" rng ~n ~window
+
+let bounded_recurrent_fill rng ~n ~bound =
+  bounded_recurrent_window ~what:"Tvg_class.bounded_recurrent_fill" rng ~n
+    ~bound
+
+let gen_t_interval rng ~n ~window =
+  per_index (t_interval_window ~what:"Tvg_class.gen_t_interval" rng ~n ~window)
+
+let gen_bounded_recurrent rng ~n ~bound =
+  per_index
+    (bounded_recurrent_window ~what:"Tvg_class.gen_bounded_recurrent" rng ~n
+       ~bound)

@@ -118,7 +118,30 @@ val summarize : n:int -> Sequence.t -> summary
     {!Generators.markov_edges}: draws must be requested in
     non-decreasing time order (the schedule layer always does), and
     each consumes the given PRNG stream deterministically, so a
-    generator seeded identically replays the identical schedule. *)
+    generator seeded identically replays the identical schedule.
+
+    Each comes in two forms over one implementation: a block fill for
+    {!Schedule.of_fill_chunked}, which copies whole windows with no
+    per-index call, and a per-index generator for {!Schedule.of_fun}.
+    Both forms of one seed make the same draws and the same schedule,
+    whatever the block size. *)
+
+val t_interval_fill :
+  Doda_prng.Prng.t -> n:int -> window:int -> int array -> base:int -> len:int -> unit
+(** [t_interval_fill rng ~n ~window] is the block fill of
+    {!gen_t_interval}: each call [fill buf ~base ~len] writes the
+    packed interactions ({!Interaction.to_int}) of times [base ..
+    base+len-1] to [buf.(0) .. buf.(len-1)].
+    @raise Invalid_argument as {!gen_t_interval}, and on a call whose
+    [base] lies before the window last drawn. *)
+
+val bounded_recurrent_fill :
+  Doda_prng.Prng.t -> n:int -> bound:int -> int array -> base:int -> len:int -> unit
+(** [bounded_recurrent_fill rng ~n ~bound] is the block fill of
+    {!gen_bounded_recurrent}, with the contract of {!t_interval_fill}.
+    The footprint tree is drawn when the fill is made.
+    @raise Invalid_argument as {!gen_bounded_recurrent}, and on a call
+    whose [base] lies before the window last drawn. *)
 
 val gen_t_interval : Doda_prng.Prng.t -> n:int -> window:int -> int -> Interaction.t
 (** Adversarial schedule guaranteed in [T_interval window]: each
@@ -133,7 +156,7 @@ val gen_t_interval : Doda_prng.Prng.t -> n:int -> window:int -> int -> Interacti
     realizes — and validates as — [T_interval (n - 1)], every tumbling
     [(n - 1)]-window being exactly one spanning tree).
     @raise Invalid_argument if [1 < window < n - 1] (a window must fit
-    a spanning tree). *)
+    a spanning tree), and on a time before the window last drawn. *)
 
 val gen_bounded_recurrent :
   Doda_prng.Prng.t -> n:int -> bound:int -> int -> Interaction.t
@@ -144,4 +167,5 @@ val gen_bounded_recurrent :
     order plus random footprint fillers — so every sliding
     [bound]-window contains a full half-window, hence every edge.
     @raise Invalid_argument if [bound < 2 * (n - 1)] (a half-window
-    must fit the whole footprint). *)
+    must fit the whole footprint), and on a time before the window
+    last drawn. *)

@@ -9,37 +9,44 @@ let erdos_renyi rng ~n ~p =
   done;
   g
 
-(* Decode a uniformly random Prüfer sequence into a labelled tree. *)
-let random_tree rng ~n =
-  if n <= 0 then invalid_arg "Graph_gen.random_tree: n must be positive";
-  let g = Static_graph.create n in
-  if n = 1 then g
-  else if n = 2 then begin
-    Static_graph.add_edge g 0 1;
-    g
-  end
-  else begin
+(* Decode a uniformly random Prüfer sequence in linear time. Each step
+   joins the smallest current leaf to the next code entry. [ptr] scans
+   upward for leaves; a node that turns into a leaf below [ptr] is the
+   smallest leaf at that moment and is taken at once, so the scan never
+   moves back. *)
+let random_tree_edges rng ~n f =
+  if n <= 0 then invalid_arg "Graph_gen.random_tree_edges: n must be positive";
+  if n = 2 then f 0 1
+  else if n > 2 then begin
     let prufer = Array.init (n - 2) (fun _ -> Prng.int rng n) in
     let degree = Array.make n 1 in
     Array.iter (fun x -> degree.(x) <- degree.(x) + 1) prufer;
-    let module Iset = Set.Make (Int) in
-    let leaves = ref Iset.empty in
-    for u = 0 to n - 1 do
-      if degree.(u) = 1 then leaves := Iset.add u !leaves
+    let ptr = ref 0 in
+    while degree.(!ptr) <> 1 do
+      incr ptr
     done;
+    let leaf = ref !ptr in
     Array.iter
       (fun v ->
-        let leaf = Iset.min_elt !leaves in
-        leaves := Iset.remove leaf !leaves;
-        Static_graph.add_edge g leaf v;
+        f !leaf v;
         degree.(v) <- degree.(v) - 1;
-        if degree.(v) = 1 then leaves := Iset.add v !leaves)
+        if degree.(v) = 1 && v < !ptr then leaf := v
+        else begin
+          incr ptr;
+          while degree.(!ptr) <> 1 do
+            incr ptr
+          done;
+          leaf := !ptr
+        end)
       prufer;
-    let u = Iset.min_elt !leaves in
-    let v = Iset.max_elt !leaves in
-    Static_graph.add_edge g u v;
-    g
+    f !leaf (n - 1)
   end
+
+let random_tree rng ~n =
+  if n <= 0 then invalid_arg "Graph_gen.random_tree: n must be positive";
+  let g = Static_graph.create n in
+  random_tree_edges rng ~n (Static_graph.add_edge g);
+  g
 
 let random_connected rng ~n ~extra_edges =
   let g = random_tree rng ~n in

@@ -7,7 +7,14 @@ val erdos_renyi : Doda_prng.Prng.t -> n:int -> p:float -> Static_graph.t
 
 val random_tree : Doda_prng.Prng.t -> n:int -> Static_graph.t
 (** [random_tree rng ~n] is a uniform random labelled tree, generated
-    from a random Prüfer sequence ([n >= 1]). *)
+    from a random Prüfer sequence ([n >= 1]).
+    @raise Invalid_argument if [n <= 0]. *)
+
+val random_tree_edges : Doda_prng.Prng.t -> n:int -> (int -> int -> unit) -> unit
+(** [random_tree_edges rng ~n f] makes the draws of {!random_tree} and
+    calls [f leaf v] once per tree edge, in Prüfer decode order, instead
+    of building a graph. Linear time.
+    @raise Invalid_argument if [n <= 0]. *)
 
 val random_connected : Doda_prng.Prng.t -> n:int -> extra_edges:int -> Static_graph.t
 (** [random_connected rng ~n ~extra_edges] is a random tree plus

@@ -109,13 +109,7 @@ let weighted_index g w =
   in
   scan 0 0.0
 
-let shuffle g a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int g (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
+let shuffle g a = Xoshiro256ss.shuffle g.gen a
 
 let sample_without_replacement g k n =
   if k < 0 || k > n then invalid_arg "Prng.sample_without_replacement";

@@ -87,8 +87,11 @@ val weighted_index : t -> float array -> int
     Linear scan; for repeated sampling from the same weights prefer
     {!Alias.create}. *)
 
-val shuffle : t -> 'a array -> unit
-(** [shuffle g a] permutes [a] uniformly in place (Fisher–Yates). *)
+val shuffle : t -> int array -> unit
+(** [shuffle g a] permutes [a] uniformly in place (Fisher–Yates: for
+    [i] from the top down, swap [a.(i)] with [a.(int g (i + 1))]).
+    Specialised to [int array]: the loop runs in the generator's own
+    compilation unit and allocates nothing. *)
 
 val sample_without_replacement : t -> int -> int -> int array
 (** [sample_without_replacement g k n] is [k] distinct values drawn

@@ -10,9 +10,9 @@
 
    Dune's default profile compiles with [-opaque], which rules out
    inlining across modules. Every draw that has to run at the speed of
-   the bare step — the bounded rejection draw [below] and the bulk
-   pair fill [fill_pairs] — therefore lives here, in the step's own
-   compilation unit. *)
+   the bare step — the bounded rejection draw [below], the bulk pair
+   fill [fill_pairs] and the int shuffle [shuffle] — therefore lives
+   here, in the step's own compilation unit. *)
 
 type t = Bytes.t
 
@@ -101,6 +101,17 @@ let fill_pairs g ~n buf ~pos ~len =
     let b = below g (n - 1) lb in
     let b = if b >= a then b + 1 else b in
     Array.unsafe_set buf k (if a < b then (a lsl 31) lor b else (b lsl 31) lor a)
+  done
+
+(* Fisher–Yates from the top: position [i] swaps with a uniform
+   [j <= i]. Typed [int array], so the swaps are plain stores with no
+   float-array tag test and no write barrier. *)
+let shuffle g (a : int array) =
+  for i = Array.length a - 1 downto 1 do
+    let j = below g (i + 1) (limit (i + 1)) in
+    let tmp = Array.unsafe_get a i in
+    Array.unsafe_set a i (Array.unsafe_get a j);
+    Array.unsafe_set a j tmp
   done
 
 let jump_table =

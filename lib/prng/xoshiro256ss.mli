@@ -50,6 +50,12 @@ val fill_pairs : t -> n:int -> int array -> pos:int -> len:int -> unit
     @raise Invalid_argument if [n] is outside [2 .. 2^31] or the range
     leaves [buf]. *)
 
+val shuffle : t -> int array -> unit
+(** [shuffle g a] permutes [a] uniformly in place by Fisher–Yates:
+    for [i] from [length a - 1] down to 1, it swaps [a.(i)] with
+    [a.(j)], [j = below g (i + 1) _]. The same draws and swaps as a
+    loop of {!Prng.int} calls; allocates nothing. *)
+
 val jump : t -> unit
 (** [jump g] advances [g] by [2^128] steps; used to carve
     non-overlapping substreams out of one seed. *)

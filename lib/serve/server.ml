@@ -33,11 +33,21 @@ type t = {
   executor : unit Domain.t;
   mutable acceptor : Thread.t option;
   conns_mutex : Mutex.t;
-  mutable conns : Thread.t list;
+  mutable conns : conn list;
 }
+
+(* A connection thread sets [finished] as its last action, so joining a
+   finished one returns at once. *)
+and conn = { thread : Thread.t; finished : bool Atomic.t }
 
 let endpoint t = t.actual
 let queue_depth t = Jobq.depth t.jobq
+
+let retained_connections t =
+  Mutex.lock t.conns_mutex;
+  let k = List.length t.conns in
+  Mutex.unlock t.conns_mutex;
+  k
 
 (* --- upload bodies --------------------------------------------------- *)
 
@@ -404,9 +414,24 @@ let rec accept_loop t =
     | _ :: _, _, _ -> (
         match Unix.accept t.sock with
         | fd, _ ->
-            let th = Thread.create (fun () -> handle_connection t fd) () in
+            let finished = Atomic.make false in
+            let thread =
+              Thread.create
+                (fun () ->
+                  Fun.protect
+                    ~finally:(fun () -> Atomic.set finished true)
+                    (fun () -> handle_connection t fd))
+                ()
+            in
+            (* Join and drop the connections that have ended, so a
+               long-lived server holds one handle per open connection,
+               not one per connection ever accepted. *)
             Mutex.lock t.conns_mutex;
-            t.conns <- th :: t.conns;
+            let ended, open_ =
+              List.partition (fun c -> Atomic.get c.finished) t.conns
+            in
+            List.iter (fun c -> Thread.join c.thread) ended;
+            t.conns <- { thread; finished } :: open_;
             Mutex.unlock t.conns_mutex
         | exception Unix.Unix_error _ -> ())
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
@@ -483,7 +508,7 @@ let wait t =
   Mutex.lock t.conns_mutex;
   let conns = t.conns in
   Mutex.unlock t.conns_mutex;
-  List.iter (fun th -> try Thread.join th with _ -> ()) conns;
+  List.iter (fun c -> try Thread.join c.thread with _ -> ()) conns;
   Instrument.absorb t.config.telemetry t.exec_shard;
   (try Unix.close t.sock with _ -> ());
   match t.actual with

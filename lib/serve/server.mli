@@ -50,6 +50,12 @@ val endpoint : t -> endpoint
 
 val queue_depth : t -> int
 
+val retained_connections : t -> int
+(** Connection-thread handles the server still holds: the open
+    connections and those that ended since the last accept, which joins
+    and drops them. It does not grow with the number of connections
+    served. *)
+
 val initiate_drain : t -> unit
 (** Begin graceful shutdown; safe from any thread, idempotent,
     returns immediately. *)

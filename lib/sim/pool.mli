@@ -15,7 +15,7 @@
     {b Thread-safety invariant.} Work items run concurrently on
     independent domains and must not share mutable state. In this
     code base the main trap is {!Doda_dynamic.Schedule.t}: a schedule
-    memoizes lazily (its [ensure]/[Vec] mutation is unsynchronised), so
+    memoizes lazily (its [ensure]/[Int_vec] mutation is unsynchronised), so
     a schedule value must never be shared between work items — each
     replication must build its own schedule inside the worker, as the
     factory pattern of {!Experiment.run_schedule_factory} does. *)

@@ -4,6 +4,7 @@ module Sequence = Doda_dynamic.Sequence
 module Generators = Doda_dynamic.Generators
 module Mobility = Doda_dynamic.Mobility
 module Trace = Doda_dynamic.Trace
+module Tvg_class = Doda_dynamic.Tvg_class
 
 type t =
   | Uniform
@@ -73,8 +74,9 @@ let build ?(stream = false) t ~n ~sink ~seed =
   let rng = Prng.create seed in
   (* Streaming keeps the draw stream: the same generator function
      backs an [of_fun_chunked] schedule instead of an [of_fun] one, so
-     a run differs only in memory behaviour, never in results. Uniform
-     streams through its block fill, which makes the same draws. *)
+     a run differs only in memory behaviour, never in results. Uniform,
+     t-interval and bounded-recurrent stream through their block
+     fills, which make the same draws. *)
   let wrap gen =
     if stream then Schedule.of_fun_chunked ~n ~sink gen
     else Schedule.of_fun ~n ~sink gen
@@ -92,9 +94,16 @@ let build ?(stream = false) t ~n ~sink ~seed =
   | Community (k, p) -> wrap (Mobility.community rng ~n ~communities:k ~p_intra:p)
   | Grid (r, c) -> wrap (Mobility.grid_walkers rng ~n ~rows:r ~cols:c)
   | Markov (p_on, p_off) -> wrap (Generators.markov_edges rng ~n ~p_on ~p_off)
-  | T_interval w -> wrap (Doda_dynamic.Tvg_class.gen_t_interval rng ~n ~window:w)
+  | T_interval w ->
+      if stream then
+        Schedule.of_fill_chunked ~n ~sink
+          (Tvg_class.t_interval_fill rng ~n ~window:w)
+      else wrap (Tvg_class.gen_t_interval rng ~n ~window:w)
   | Bounded_recurrent b ->
-      wrap (Doda_dynamic.Tvg_class.gen_bounded_recurrent rng ~n ~bound:b)
+      if stream then
+        Schedule.of_fill_chunked ~n ~sink
+          (Tvg_class.bounded_recurrent_fill rng ~n ~bound:b)
+      else wrap (Tvg_class.gen_bounded_recurrent rng ~n ~bound:b)
   | Trace_file path ->
       if stream then begin
         let gen, length, max_node = Trace.stream path in

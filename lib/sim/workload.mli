@@ -38,7 +38,9 @@ val schedule :
     ["workload/<name>"] span.
 
     [stream] (default [false]) builds a {e chunked} schedule instead
-    ([Schedule.of_fun_chunked], or a [Trace.stream]ed file): memory
+    ([Schedule.of_fill_chunked] over a block fill for uniform,
+    t-interval and bounded-recurrent, [Schedule.of_fun_chunked] for
+    the other generators, or a [Trace.stream]ed file): memory
     stays O(block) whatever the horizon, the draw stream — and thus
     every run result — is unchanged, but access is forward-only and
     meet-time knowledge is unavailable (fine for Gathering/Waiting).

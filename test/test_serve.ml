@@ -468,6 +468,26 @@ let test_serve_run_matches_direct () =
           Alcotest.fail
             (Json.to_string (Protocol.response_to_json other)))
 
+(* Each accept joins and drops the connection threads that have ended,
+   so sequential clients leave a handful of handles, not one each. *)
+let test_connections_pruned () =
+  let _tel, peak =
+    with_server (fun srv endpoint ->
+        let peak = ref 0 in
+        for i = 1 to 200 do
+          let c = Client.connect endpoint in
+          (match Client.run_job c (run_request ~n:8 ~seed:i ()) with
+          | Ok _ -> ()
+          | Error e -> Alcotest.fail e);
+          Client.close c;
+          peak := Stdlib.max !peak (Server.retained_connections srv)
+        done;
+        !peak)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 16 handles retained (peak %d)" peak)
+    true (peak <= 16)
+
 let test_serve_uploaded_run_matches_direct () =
   let rng = Prng.create 11 in
   let n = 12 and length = 3000 in
@@ -824,5 +844,7 @@ let () =
             test_serve_concurrent_clients_bit_identical;
           Alcotest.test_case "drain on SIGTERM leaves a resumable checkpoint"
             `Quick test_serve_drain_on_sigterm_checkpoints;
+          Alcotest.test_case "ended connections are joined and dropped"
+            `Quick test_connections_pruned;
         ] );
     ]
