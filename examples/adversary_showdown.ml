@@ -78,9 +78,9 @@ let () =
       let sched = Schedule.of_sequence ~n ~sink:0 s in
       let r = Engine.run algo sched in
       let stuck =
-        let holders = ref [] in
-        Array.iteri (fun v h -> if h && v <> 0 then holders := v :: !holders) r.holders;
-        String.concat "," (List.map string_of_int (List.rev !holders))
+        List.init (n - 1) (fun i -> i + 1)
+        |> List.filter (Engine.Holders.mem r.holders)
+        |> List.map string_of_int |> String.concat ","
       in
       Table.add_row t
         [

@@ -93,9 +93,11 @@ let theorem2_search ?(trials = 100) ?(max_l = 0) ~n (algo : Doda_core.Algorithm.
     for _ = 1 to trials do
       let r = Doda_core.Engine.run algo (sched ()) in
       if r.Doda_core.Engine.transmission_count = 0 then incr silent;
-      Array.iteri
-        (fun v holds -> if holds then survived.(v) <- survived.(v) + 1)
-        r.Doda_core.Engine.holders
+      let holders = r.Doda_core.Engine.holders in
+      for v = 0 to n - 1 do
+        if Doda_core.Engine.Holders.mem holders v then
+          survived.(v) <- survived.(v) + 1
+      done
     done;
     let p_silent = float_of_int !silent /. float_of_int trials in
     let survival v = float_of_int survived.(v) /. float_of_int trials in

@@ -48,6 +48,11 @@ let stop_for schedule ~final_clock ~aggregated =
     | Some len when final_clock >= len -> Engine.Schedule_exhausted
     | Some _ | None -> Engine.Step_limit
 
+(* Only live schedules decode through a stepper (an n-entry cursor
+   array); meet-time policies also query one, on any form. *)
+let decodes_by_stepper schedule ~backing =
+  backing = None && not (Schedule.is_chunked schedule)
+
 (* Decode closure shared by the lockstep loops. Frozen/finite
    schedules read the flat backing directly. Chunked schedules cache
    the current block view, so the per-step cost is one bounds check
@@ -138,7 +143,7 @@ let run_reps ?max_steps ?(record = `All) ?rngs ?(stats = fresh_stats ())
   in
   let backing = Schedule.backing schedule in
   let needs_stepper =
-    backing = None
+    decodes_by_stepper schedule ~backing
     || (match rule with Algorithm.Meet_policy _ -> true | _ -> false)
   in
   let stp = if needs_stepper then Some (Schedule.stepper schedule) else None in
@@ -349,9 +354,11 @@ let run_reps ?max_steps ?(record = `All) ?rngs ?(stats = fresh_stats ())
         incr t
       done);
   let final_clock = !t in
+  (* Every result views [planes], which nothing writes from here on:
+     replication [rep] is bit [rep mod word_bits] of word
+     [rep / word_bits] in each node's [w]-word row. *)
   Array.init r (fun rep ->
       let aggregated = owners.(rep) = target in
-      let word = rep / word_bits and bit = 1 lsl (rep mod word_bits) in
       {
         Engine.stop = stop_for schedule ~final_clock ~aggregated;
         duration = (if aggregated then Some last_time.(rep) else None);
@@ -359,7 +366,9 @@ let run_reps ?max_steps ?(record = `All) ?rngs ?(stats = fresh_stats ())
         log = (if record_all then logs.(rep) else Run_log.create ());
         transmission_count = tx.(rep);
         holders =
-          Array.init n (fun v -> planes.((v * w) + word) land bit <> 0);
+          Engine.Holders.of_planes planes ~stride:w ~word:(rep / word_bits)
+            ~bit:(1 lsl (rep mod word_bits))
+            ~n ~count:owners.(rep);
       })
 
 (* ------------------------------------------------------------------ *)
@@ -429,7 +438,8 @@ let sweep_chunk ?max_steps ~record ~stats algos schedule =
   let lims = Array.make l 0 in
   let backing = Schedule.backing schedule in
   let stp =
-    if backing = None || meet_mask <> 0 then Some (Schedule.stepper schedule)
+    if decodes_by_stepper schedule ~backing || meet_mask <> 0 then
+      Some (Schedule.stepper schedule)
     else None
   in
   let decode = decoder schedule ~backing ~stp in
@@ -559,16 +569,18 @@ let sweep_chunk ?max_steps ~record ~stats algos schedule =
     incr t
   done;
   let final_clock = !t in
+  (* As in [run_reps]: every lane's result views the final [planes]. *)
   Array.init l (fun lane ->
       let aggregated = owners.(lane) = target in
-      let bit = 1 lsl lane in
       {
         Engine.stop = stop_for schedule ~final_clock ~aggregated;
         duration = (if aggregated then Some last_time.(lane) else None);
         steps = (if aggregated then last_time.(lane) + 1 else final_clock);
         log = (if record_all then logs.(lane) else Run_log.create ());
         transmission_count = tx.(lane);
-        holders = Array.init n (fun node -> planes.(node) land bit <> 0);
+        holders =
+          Engine.Holders.of_planes planes ~stride:1 ~word:0 ~bit:(1 lsl lane)
+            ~n ~count:owners.(lane);
       })
 
 let rec split_at k = function
@@ -584,6 +596,7 @@ let rec sweep ?max_steps ?(record = `All) ?(stats = fresh_stats ()) algos
     sweep_chunk ?max_steps ~record ~stats algos schedule
   else
     let chunk, rest = split_at word_bits algos in
-    Array.append
-      (sweep_chunk ?max_steps ~record ~stats chunk schedule)
-      (sweep ?max_steps ~record ~stats rest schedule)
+    (* Bound first: arguments evaluate right to left, and the chunks
+       must create their instances in list order. *)
+    let first = sweep_chunk ?max_steps ~record ~stats chunk schedule in
+    Array.append first (sweep ?max_steps ~record ~stats rest schedule)

@@ -32,6 +32,14 @@
     same PRNG draw sequences (a differential test enforces this per
     algorithm).
 
+    {b Holder sets.} A result's [holders] is an O(1)
+    {!Engine.Holders.t} view of the pass's final bit planes: one
+    array per call, shared by every result it returns, plus the
+    result's word and bit. Nothing writes the planes once the call
+    returns, so the results are immutable and may cross domains. A
+    batch of [R] replications over [n] nodes therefore keeps
+    [n * ceil (R / word_bits)] words of holder state, not [n * R].
+
     {b Schedule forms.} Frozen/finite schedules decode straight off
     the flat backing. Chunked (streamed) schedules are first-class:
     the loops read through a cached

@@ -9,13 +9,45 @@ type transmission = Run_log.transmission = {
 
 type stop_reason = All_aggregated | Schedule_exhausted | Step_limit
 
+module Holders = struct
+  (* Node [v] owns data iff bit [bit] of [planes.(v * stride + word)] is
+     set. The scalar engine copies its vector into a plane of its own
+     (stride 1, bit 1); the batch engine hands every lane a view of its
+     final bit planes. Nothing writes [planes] once a view exists, so a
+     set is immutable and can be shared across domains. *)
+  type t = {
+    planes : int array;
+    stride : int;
+    word : int;
+    bit : int;
+    n : int;
+    count : int;
+  }
+
+  let of_planes planes ~stride ~word ~bit ~n ~count =
+    { planes; stride; word; bit; n; count }
+
+  let mem h v =
+    if v < 0 || v >= h.n then invalid_arg "Engine.Holders.mem: node out of range";
+    h.planes.((v * h.stride) + h.word) land h.bit <> 0
+
+  let count h = h.count
+  let to_array h = Array.init h.n (mem h)
+
+  let equal a b =
+    a.n = b.n
+    &&
+    let rec same v = v >= a.n || (mem a v = mem b v && same (v + 1)) in
+    same 0
+end
+
 type result = {
   stop : stop_reason;
   duration : int option;
   steps : int;
   log : Run_log.t;
   transmission_count : int;
-  holders : bool array;
+  holders : Holders.t;
 }
 
 let transmissions r = Run_log.to_list r.log
@@ -80,9 +112,12 @@ let make_state ~algo_name ~instance ~problem ~record ~observers ~source ~n =
     finish_obs =
       Array.of_list (List.filter_map (fun o -> o.obs_finish) observers);
     has_step_obs = Array.length step_obs > 0;
-    (* Transmit-once bounds a run's transmissions by [n - 1], so the
-       log never reallocates mid-run. *)
-    log = Run_log.create ~capacity:n ();
+    (* Transmit-once bounds a run's transmissions by [n - 1], so a
+       pre-sized log never reallocates mid-run. [`Count] never writes
+       it, so it gets none. *)
+    log =
+      (if record = `All then Run_log.create ~capacity:n ()
+       else Run_log.create ());
     owner_count;
     clock = 0;
     tx_count = 0;
@@ -212,6 +247,16 @@ let last_transmission st =
 
 let transmissions_so_far st = Run_log.to_list st.log
 
+(* The one copy a scalar run pays: an int loop, since [Array.map] into
+   a major-heap block stores through [caml_modify] per element. *)
+let copy_holders st =
+  let n = Array.length st.holds in
+  let planes = Array.make n 0 in
+  for v = 0 to n - 1 do
+    if Array.unsafe_get st.holds v then planes.(v) <- 1
+  done;
+  Holders.of_planes planes ~stride:1 ~word:0 ~bit:1 ~n ~count:st.owner_count
+
 let finish st stop =
   let result =
     {
@@ -220,7 +265,7 @@ let finish st stop =
       steps = st.clock;
       log = st.log;
       transmission_count = st.tx_count;
-      holders = Array.copy st.holds;
+      holders = copy_holders st;
     }
   in
   let obs = st.finish_obs in
@@ -259,7 +304,7 @@ let run ?knowledge ?max_steps ?record ?observers (algo : Algorithm.t) schedule =
       while st.owner_count > st.target && st.clock < limit do
         let block, off, avail = Schedule.chunk_view schedule st.clock in
         let base = st.clock in
-        let stop = Stdlib.min limit (base + avail) in
+        let stop = Int.min limit (base + avail) in
         while st.owner_count > st.target && st.clock < stop do
           let t = st.clock in
           exec_step st instance holds ~t
@@ -301,8 +346,7 @@ let transmissions_of_node result node =
     (fun tr -> tr.sender = node || tr.receiver = node)
     (transmissions result)
 
-let count_owners result =
-  Array.fold_left (fun acc h -> if h then acc + 1 else acc) 0 result.holders
+let count_owners result = Holders.count result.holders
 
 let pp_result ppf r =
   let reason =

@@ -26,6 +26,33 @@ type stop_reason =
   | Schedule_exhausted  (** finite schedule ended first *)
   | Step_limit  (** [max_steps] interactions processed *)
 
+(** Who still owns data when a run ends: an immutable set of nodes. *)
+module Holders : sig
+  type t
+
+  val mem : t -> int -> bool
+  (** [mem h v]: node [v] still owns data.
+      @raise Invalid_argument if [v] is not a node of the run. *)
+
+  val count : t -> int
+  (** Number of nodes that still own data. O(1). *)
+
+  val to_array : t -> bool array
+  (** A fresh ownership vector, entry [v] = [mem h v]. *)
+
+  val equal : t -> t -> bool
+  (** Same node count and same owners. Compare sets with this, not
+      with polymorphic [=], which would compare representations. *)
+
+  val of_planes :
+    int array -> stride:int -> word:int -> bit:int -> n:int -> count:int -> t
+  (** For run-cores: the set whose node [v] owns data iff bit [bit] of
+      [planes.(v * stride + word)] is set, over nodes [0 .. n - 1], with
+      [count] owners. O(1), no copy: the caller must never write
+      [planes] again, which is what makes the set immutable and safe
+      to share between results and domains. *)
+end
+
 type result = {
   stop : stop_reason;
   duration : int option;
@@ -37,9 +64,10 @@ type result = {
           recorded with [`Count]. *)
   transmission_count : int;
       (** Number of transmissions, regardless of recording mode. *)
-  holders : bool array;
-      (** Who still owns data at the end. A fresh copy: mutating it
-          cannot corrupt a live {!state} or other results. *)
+  holders : Holders.t;
+      (** Who still owns data at the end. Immutable: {!finish} copies
+          the live vector once, and {!Batch_engine} results are views
+          of the batch's final bit planes, shared by every lane. *)
 }
 
 val transmissions : result -> transmission list

@@ -23,7 +23,8 @@ val create : ?capacity:int -> unit -> t
 (** An empty log. [capacity] pre-sizes the three buffers so appends up
     to it never reallocate; in the transmit-once model a run over [n]
     nodes commits at most [n - 1] transmissions, so both engines pass
-    [~capacity:n] and recording never doubles mid-run. *)
+    [~capacity:n] when they record [`All] and recording never doubles
+    mid-run. [`Count] runs never write their log and pre-size none. *)
 
 val add : t -> time:int -> sender:int -> receiver:int -> unit
 (** Append one transmission (chronological order is the caller's

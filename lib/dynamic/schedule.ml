@@ -198,7 +198,7 @@ let ensure t upto =
   let sink = t.sink_id in
   match t.source with
   | Finite s ->
-      let stop = Stdlib.min upto (Sequence.length s) in
+      let stop = Int.min upto (Sequence.length s) in
       while t.indexed < stop do
         let i = Sequence.unsafe_get s t.indexed in
         if Interaction.involves i sink then
@@ -206,7 +206,7 @@ let ensure t upto =
         t.indexed <- t.indexed + 1
       done
   | Generator _ ->
-      let stop = Stdlib.min upto (Int_vec.length t.buf) in
+      let stop = Int.min upto (Int_vec.length t.buf) in
       while t.indexed < stop do
         let i =
           Interaction.of_int_unchecked (Int_vec.unsafe_get t.buf t.indexed)
@@ -266,7 +266,7 @@ let prefetch_queue c p =
   let base = c.c_base + c.c_len in
   let cap =
     match c.c_length with
-    | Some l -> Stdlib.min (Array.length p.p_buf) (l - base)
+    | Some l -> Int.min (Array.length p.p_buf) (l - base)
     | None -> Array.length p.p_buf
   in
   if cap <= 0 then begin
@@ -352,7 +352,7 @@ let chunk_advance ~op c time =
         let base = c.c_base + c.c_len in
         let cap =
           match c.c_length with
-          | Some l -> Stdlib.min (Array.length c.c_block) (l - base)
+          | Some l -> Int.min (Array.length c.c_block) (l - base)
           | None -> Array.length c.c_block
         in
         fill_block ~n:c.c_node_count c.c_fill c.c_block base cap;
@@ -686,7 +686,7 @@ let stepper_next_meet st ~node ~after ~limit =
                 else
                   (* Progress is guaranteed: [t.indexed <= limit], so
                      the target strictly exceeds the indexed prefix. *)
-                  ensure t (Stdlib.min (limit + 1) (t.indexed + stepper_chunk))
+                  ensure t (Int.min (limit + 1) (t.indexed + stepper_chunk))
         done;
         st.st_pos.(node) <- !p;
         if !p < vec_len () && vec_get !p <= limit then Some (vec_get !p)

@@ -191,7 +191,8 @@ let test_theorem2_blocks_waiting_and_gathering () =
         (r.Engine.stop = Engine.Schedule_exhausted);
       (* Node u_1 = id 2 must still hold data: its escape path runs
          through u_0 which has already transmitted. *)
-      Alcotest.(check bool) "u_1 still holds" true r.Engine.holders.(2))
+      Alcotest.(check bool) "u_1 still holds" true
+        (Engine.Holders.mem r.Engine.holders 2))
     [ Algorithms.waiting; Algorithms.gathering ]
 
 let test_theorem2_convergecasts_remain_possible () =

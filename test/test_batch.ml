@@ -22,7 +22,7 @@ module Prng = Doda_prng.Prng
 let same_result (a : Engine.result) (b : Engine.result) =
   a.stop = b.stop && a.duration = b.duration && a.steps = b.steps
   && a.transmission_count = b.transmission_count
-  && a.holders = b.holders
+  && Engine.Holders.equal a.holders b.holders
   && Run_log.to_list a.log = Run_log.to_list b.log
 
 let frozen_of (n, len, seed) =
@@ -272,6 +272,123 @@ let prop_streamed_coin_reps_match_frozen =
           (Coin_algorithms.coin_gathering, 0.25);
         ])
 
+(* Holder sets are views of the batch's final bit planes, so the
+   replication -> (word, bit) and lane -> bit mappings must be exact.
+   Deterministic algorithms give every replication the same holders
+   and cannot catch a wrong mapping; coin algorithms on a schedule too
+   short to aggregate leave different holders per replication. *)
+let holder_inst = (12, 40, 3)
+
+let check_holders what (scalars : Engine.result array)
+    (batch : Engine.result array) =
+  Alcotest.(check int) (what ^ " count") (Array.length scalars)
+    (Array.length batch);
+  Array.iteri
+    (fun k (b : Engine.result) ->
+      let s = scalars.(k) in
+      let name = Printf.sprintf "%s #%d" what k in
+      Alcotest.(check (array bool)) (name ^ " holders")
+        (Engine.Holders.to_array s.holders)
+        (Engine.Holders.to_array b.holders);
+      Alcotest.(check bool) (name ^ " equal") true
+        (Engine.Holders.equal s.holders b.holders);
+      Alcotest.(check int) (name ^ " owners") (Engine.Holders.count s.holders)
+        (Engine.Holders.count b.holders))
+    batch;
+  (* Power check: the scalar holder sets must not all coincide, or a
+     misplaced view would go unnoticed. *)
+  let distinct =
+    List.sort_uniq compare
+      (Array.to_list
+         (Array.map
+            (fun (r : Engine.result) -> Engine.Holders.to_array r.holders)
+            scalars))
+  in
+  if Array.length scalars > 1 then
+    Alcotest.(check bool) (what ^ " holder sets differ") true
+      (List.length distinct > 1)
+
+let test_holder_views_match_scalar () =
+  let frozen = frozen_of holder_inst in
+  let coin master = Coin_algorithms.coin_gathering master ~p:0.25 in
+  List.iter
+    (fun r ->
+      let scalar_algo = coin (Prng.create 1234) in
+      let scalars = Array.init r (fun _ -> Engine.run scalar_algo frozen) in
+      List.iter
+        (fun (form, sched) ->
+          let rngs = Prng.split_n (Prng.create 1234) r in
+          check_holders
+            (Printf.sprintf "R=%d %s rep" r form)
+            scalars
+            (Batch_engine.run_reps ~rngs (coin (Prng.create 1234)) sched r))
+        [ ("frozen", frozen); ("chunked", chunked_of ~block:7 holder_inst) ])
+    widths
+
+let test_sweep_lane_holders_match_scalar () =
+  let sched = frozen_of holder_inst in
+  let rivals master l =
+    List.init l (fun k ->
+        match k mod 5 with
+        | 0 -> Algorithms.waiting
+        | 1 -> Algorithms.gathering
+        | 2 -> Gathering_variants.make Gathering_variants.Hash
+        | 3 -> Coin_algorithms.coin_waiting master ~p:0.5
+        | _ -> Coin_algorithms.coin_gathering master ~p:0.25)
+  in
+  List.iter
+    (fun l ->
+      let scalars =
+        Array.of_list
+          (List.map
+             (fun algo -> Engine.run algo sched)
+             (rivals (Prng.create 77) l))
+      in
+      check_holders
+        (Printf.sprintf "L=%d lane" l)
+        scalars
+        (Batch_engine.sweep (rivals (Prng.create 77) l) sched))
+    widths
+
+(* Results share the final planes instead of copying them: at n = 20 000
+   and R = 64, one n-entry holder array per replication would be
+   n * R = 1.28 M words. The whole call, planes included, must stay far
+   below that. *)
+let test_run_reps_holders_not_copied () =
+  let n = 20_000 and r = 64 in
+  let rng = Prng.create 11 in
+  let s = Generators.uniform_sequence rng ~n ~length:16 in
+  let frozen = Schedule.freeze (Schedule.of_sequence ~n ~sink:0 s) in
+  let chunked =
+    Schedule.of_fun_chunked ~block:16 ~n ~sink:0 (fun t ->
+        Doda_dynamic.Sequence.get s (t mod 16))
+  in
+  (* OCaml 5 folds allocation counts into [quick_stat] at minor
+     collections, so collect first to read an exact total. *)
+  let words () =
+    Gc.minor ();
+    let st = Gc.quick_stat () in
+    st.minor_words +. st.major_words -. st.promoted_words
+  in
+  List.iter
+    (fun (form, sched) ->
+      let before = words () in
+      let results =
+        Batch_engine.run_reps ~max_steps:1 ~record:`Count Algorithms.gathering
+          sched r
+      in
+      let allocated = words () -. before in
+      Alcotest.(check int) (form ^ " results") r (Array.length results);
+      let last = results.(r - 1).holders in
+      Alcotest.(check int) (form ^ " owners")
+        (List.length
+           (List.filter Fun.id (Array.to_list (Engine.Holders.to_array last))))
+        (Engine.Holders.count last);
+      if allocated >= float_of_int (n * r / 8) then
+        Alcotest.failf "%s: run_reps allocated %.0f words (limit %d)" form
+          allocated (n * r / 8))
+    [ ("frozen", frozen); ("chunked", chunked) ]
+
 (* Error paths, pinned verbatim: a batch-incapable algorithm must be
    named, and the message must point at the scalar fallback. *)
 let test_no_batch_rule_messages () =
@@ -328,7 +445,7 @@ let prop_count_mode =
         (fun (a : Engine.result) (b : Engine.result) ->
           a.stop = b.stop && a.duration = b.duration && a.steps = b.steps
           && a.transmission_count = b.transmission_count
-          && a.holders = b.holders
+          && Engine.Holders.equal a.holders b.holders
           && Run_log.length b.log = 0)
         full counted)
 
@@ -373,6 +490,10 @@ let () =
             Alcotest.test_case "remainder widths" `Quick test_remainder_widths;
             Alcotest.test_case "live-mask early stop" `Quick
               test_live_mask_early_stop;
+            Alcotest.test_case "holder views = scalar holders" `Quick
+              test_holder_views_match_scalar;
+            Alcotest.test_case "holders not copied per replication" `Quick
+              test_run_reps_holders_not_copied;
           ] );
       ( "streamed",
         List.map to_alcotest
@@ -387,5 +508,9 @@ let () =
           ] );
       ( "sweep",
         List.map to_alcotest
-          [ prop_sweep_matches_scalar; prop_sweep_generator_matches_scalar ] );
+          [ prop_sweep_matches_scalar; prop_sweep_generator_matches_scalar ]
+        @ [
+            Alcotest.test_case "lane holders = scalar holders" `Quick
+              test_sweep_lane_holders_match_scalar;
+          ] );
     ]

@@ -90,7 +90,7 @@ let algos_for n =
 let same_result (a : Engine.result) (b : Engine.result) =
   a.duration = b.duration
   && a.transmission_count = b.transmission_count
-  && a.holders = b.holders
+  && Engine.Holders.equal a.holders b.holders
 
 let prop_frozen_shared_equals_rebuilt =
   QCheck.Test.make ~count:150

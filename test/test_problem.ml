@@ -106,7 +106,7 @@ let prop_engine_matches_model =
           r.Engine.stop = stop && r.Engine.duration = duration
           && r.Engine.steps = steps
           && Run_log.to_list r.Engine.log = log
-          && r.Engine.holders = holders)
+          && Engine.Holders.to_array r.Engine.holders = holders)
         engine_algos)
 
 (* ------------------------------------------------------------------ *)
@@ -128,7 +128,7 @@ let same_result_h ~len (a : Engine.result) (b : Engine.result) =
   && a.Engine.duration = b.Engine.duration
   && a.Engine.steps = b.Engine.steps
   && a.Engine.transmission_count = b.Engine.transmission_count
-  && a.Engine.holders = b.Engine.holders
+  && Engine.Holders.equal a.Engine.holders b.Engine.holders
   && Run_log.to_list a.Engine.log = Run_log.to_list b.Engine.log
 
 let same_result a b =

@@ -133,7 +133,7 @@ let prop_engine_conservation =
       List.length (Engine.transmissions r) = n - owners
       && List.length (List.sort_uniq compare senders) = List.length senders
       && (not (List.mem 0 senders))
-      && r.holders.(0))
+      && Engine.Holders.mem r.holders 0)
 
 let prop_engine_termination_iff_sink_only =
   QCheck.Test.make ~count ~name:"engine: All_aggregated iff only the sink owns"

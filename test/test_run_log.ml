@@ -9,8 +9,8 @@
      [Validate.execution] with zero violations across algorithms x
      adversaries x seeds (the one-run-core invariant: no driver can
      drift from the model rules).
-   - result.holders is a snapshot: mutating it cannot corrupt a live
-     state or later results. *)
+   - result.holders is a snapshot: a result taken mid-run does not
+     change when the state steps on. *)
 
 module Interaction = Doda_dynamic.Interaction
 module Sequence = Doda_dynamic.Sequence
@@ -202,18 +202,35 @@ let test_observer_counts_match () =
   Alcotest.(check int) "`Count keeps the log empty" 0 (Run_log.length r.Engine.log)
 
 let test_holders_is_a_snapshot () =
-  let s = Sequence.of_pairs [ (1, 2); (0, 1) ] in
+  let s = Sequence.of_pairs [ (1, 2); (0, 1); (0, 2) ] in
   let st =
     Engine.start Algorithms.gathering (Schedule.of_sequence ~n:3 ~sink:0 s)
   in
   ignore (Engine.step st);
   let r = Engine.finish st Engine.Step_limit in
-  r.Engine.holders.(1) <- false;
-  (* Mutating the returned snapshot must not leak into the live run or
-     into later results. *)
-  Alcotest.(check bool) "live state unaffected" true (Engine.owns st 1);
-  let r2 = Engine.finish st Engine.Step_limit in
-  Alcotest.(check bool) "fresh result unaffected" true r2.Engine.holders.(1)
+  let taken = Engine.Holders.to_array r.Engine.holders in
+  (* [to_array] is a fresh copy: writing it changes neither the result
+     nor the live run (the sink, node 0, always owns data). *)
+  (Engine.Holders.to_array r.Engine.holders).(0) <- false;
+  Alcotest.(check (array bool)) "copy is fresh" taken
+    (Engine.Holders.to_array r.Engine.holders);
+  Alcotest.(check bool) "live run unaffected" true (Engine.owns st 0);
+  (* Stepping on changes the live run but not the result taken
+     mid-run. *)
+  let rec drain () =
+    match Engine.step st with Engine.Stepped _ -> drain () | _ -> ()
+  in
+  drain ();
+  let live = Engine.holders_snapshot st in
+  Alcotest.(check bool) "the run moved on" true (live <> taken);
+  Alcotest.(check (array bool)) "mid-run result unchanged" taken
+    (Engine.Holders.to_array r.Engine.holders);
+  Alcotest.(check int) "mid-run count unchanged"
+    (Array.fold_left (fun acc h -> if h then acc + 1 else acc) 0 taken)
+    (Engine.Holders.count r.Engine.holders);
+  let r2 = Engine.finish st Engine.All_aggregated in
+  Alcotest.(check (array bool)) "later result sees the live run" live
+    (Engine.Holders.to_array r2.Engine.holders)
 
 (* ------------------------------------------------------------------ *)
 

@@ -28,7 +28,7 @@ module Prng = Doda_prng.Prng
 let same_result (a : Engine.result) (b : Engine.result) =
   a.stop = b.stop && a.duration = b.duration && a.steps = b.steps
   && a.transmission_count = b.transmission_count
-  && a.holders = b.holders
+  && Engine.Holders.equal a.holders b.holders
   && Run_log.to_list a.log = Run_log.to_list b.log
 
 let instance_arb =
